@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test race short scrubrace churnrace storagerace bench ci clean
+.PHONY: all build vet staticcheck lint test race short transportrace scrubrace churnrace storagerace perfbench bench ci clean
 
 all: ci
 
@@ -36,6 +36,12 @@ race:
 short:
 	$(GO) test -short ./...
 
+# Race-detector pass over the TCP fabric at one and several cores: the
+# multiplexed connection is the only transport, so its writer/reader
+# goroutines, cancellation and redial paths all run here.
+transportrace:
+	$(GO) test -race -cpu 1,4 ./internal/transport
+
 # Race-detector pass focused on the background anti-entropy scrubber and
 # chaos paths: the concurrent scrub/foreground test runs even under -short
 # precisely so this job covers the scrubber goroutines.
@@ -54,6 +60,12 @@ churnrace:
 storagerace:
 	$(GO) test -race ./internal/storage
 	$(GO) test -race -run 'TestTiered' .
+
+# The repo benchmark is its own Go module, so `go test ./...` never builds
+# it; it is the consumer that keeps Config.MuxConnsPerPeer and
+# TCPNetwork.ConfigureMux compiling.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Multi-process cluster harness, CI-budgeted: real corec-server OS
 # processes over TCP, the open-loop quick scenario matrix (fault-free +
@@ -78,7 +90,7 @@ bench:
 	$(GO) run ./cmd/corec-bench -experiment tiering -json BENCH_tiering.json
 	$(GO) run ./cmd/corec-bench -experiment cluster -json BENCH_cluster.json
 
-ci: vet staticcheck lint build race scrubrace churnrace storagerace test clusterquick
+ci: vet staticcheck lint build race transportrace scrubrace churnrace storagerace test perfbench clusterquick
 
 clean:
 	$(GO) clean ./...

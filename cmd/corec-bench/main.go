@@ -19,12 +19,11 @@
 // The erasure experiment measures the parallel erasure-coding engine
 // (encode workers=1 vs N, cold vs cached decode matrices) and, with -json,
 // writes the regression artifact BENCH_erasure.json tracks. The transport
-// experiment measures staging round-trip throughput and latency (baseline
-// vs multiplexed TCP discipline, plus the in-process fabric) and writes
-// BENCH_transport.json the same way, and the tiering experiment drives a
-// working set 10x the L1 budget through the tiered storage engine
-// (all-in-RAM vs tiered vs tiered-without-prefetch) and writes
-// BENCH_tiering.json.
+// experiment measures staging round-trip throughput and latency on the
+// multiplexed TCP fabric and writes BENCH_transport.json the same way, and
+// the tiering experiment drives a working set 10x the L1 budget through the
+// tiered storage engine (all-in-RAM vs tiered vs tiered-without-prefetch)
+// and writes BENCH_tiering.json.
 package main
 
 import (

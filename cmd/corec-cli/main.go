@@ -42,8 +42,6 @@ func main() {
 	modeName := flag.String("mode", "corec", "policy the service was started with (for codec parameters)")
 	nlevel := flag.Int("nlevel", 1, "service NLevel")
 	k := flag.Int("k", 3, "service Reed-Solomon data shards")
-	muxConns := flag.Int("mux-conns", 0, "multiplexed connections per peer; must match the corec-server setting")
-	maxInFlight := flag.Int("max-inflight", 0, "pipelining window per multiplexed connection (0 = default)")
 	elastic := flag.Bool("membership", false, "service runs elastic membership (corec-server -membership); place on its dynamic ring")
 	flag.Parse()
 	args := flag.Args()
@@ -63,8 +61,6 @@ func main() {
 	cfg.NLevel = *nlevel
 	cfg.DataShards = *k
 	cfg.ElemSize = 1 // byte-addressed 1-D staging for the CLI
-	cfg.MuxConnsPerPeer = *muxConns
-	cfg.MaxInFlight = *maxInFlight
 	if m, err := parseMode(*modeName); err == nil {
 		cfg.Mode = m
 	}

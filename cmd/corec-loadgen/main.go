@@ -49,7 +49,6 @@ func main() {
 	poisson := flag.Bool("poisson", false, "Poisson arrivals instead of constant spacing")
 	nlevel := flag.Int("nlevel", 1, "service NLevel (external mode)")
 	k := flag.Int("k", 3, "service Reed-Solomon data shards (external mode)")
-	muxConns := flag.Int("mux-conns", 0, "multiplexed connections per peer; must match the service")
 	jsonOut := flag.Bool("json", false, "print the SLO row as JSON")
 	flag.Parse()
 
@@ -71,7 +70,7 @@ func main() {
 	}
 
 	if *addrFile != "" {
-		if err := runExternal(ctx, *addrFile, sc, *nlevel, *k, *muxConns, *jsonOut); err != nil {
+		if err := runExternal(ctx, *addrFile, sc, *nlevel, *k, *jsonOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -86,7 +85,7 @@ func main() {
 
 // runExternal offers load to an already-running service; fault arms are
 // unavailable (we do not own its processes).
-func runExternal(ctx context.Context, addrFile string, sc cluster.Scenario, nlevel, k, muxConns int, jsonOut bool) error {
+func runExternal(ctx context.Context, addrFile string, sc cluster.Scenario, nlevel, k int, jsonOut bool) error {
 	data, err := os.ReadFile(addrFile)
 	if err != nil {
 		return err
@@ -99,7 +98,6 @@ func runExternal(ctx context.Context, addrFile string, sc cluster.Scenario, nlev
 	cfg.NLevel = nlevel
 	cfg.DataShards = k
 	cfg.ElemSize = 1
-	cfg.MuxConnsPerPeer = muxConns
 	cfg.Membership = &corec.MembershipConfig{}
 	cl, err := corec.NewRemoteCluster(cfg, addrs)
 	if err != nil {

@@ -7,8 +7,7 @@
 //
 //	corec-server [-servers 8] [-mode corec] [-addr-file corec-addrs.json]
 //	             [-host 127.0.0.1] [-nlevel 1] [-k 3] [-s 0.67]
-//	             [-mux-conns 0] [-max-inflight 0] [-membership]
-//	             [-port-base 0] [-local ""] [-scrub]
+//	             [-membership] [-port-base 0] [-local ""] [-scrub]
 //	             [-storage-dir DIR] [-storage-mem-mb N] [-storage-disk-mb N]
 //	             [-storage-remote] [-storage-remote-mbps 256]
 //	             [-storage-prefetch]
@@ -27,9 +26,9 @@
 // modeled shared object store (L3). A restarted service revalidates and
 // re-indexes the disk tier from -storage-dir instead of losing it.
 //
-// -mux-conns enables the multiplexed transport (pipelined connections with
-// pooled zero-copy frames); servers then expect request IDs on the stream,
-// so every client of the service must be started with the same setting.
+// Servers and clients talk over multiplexed TCP connections: each peer
+// pair shares a few pipelined connections with pooled zero-copy frames.
+// There is no transport setting a client must match.
 //
 // -membership starts the fleet elastic: every server runs a SWIM gossip
 // agent, placement uses the dynamic failure-domain ring, and the service
@@ -61,8 +60,6 @@ func main() {
 	nlevel := flag.Int("nlevel", 1, "failures to tolerate")
 	k := flag.Int("k", 3, "Reed-Solomon data shards")
 	s := flag.Float64("s", 0.67, "storage efficiency constraint")
-	muxConns := flag.Int("mux-conns", 0, "multiplexed connections per peer (0 = one request per connection); clients must match")
-	maxInFlight := flag.Int("max-inflight", 0, "pipelining window per multiplexed connection (0 = default)")
 	elastic := flag.Bool("membership", false, "run elastic membership: SWIM gossip failure detection, dynamic ring, corec-cli join/drain control")
 	portBase := flag.Int("port-base", 0, "pin server i's listener to port port-base+i (0 = ephemeral ports)")
 	localList := flag.String("local", "", "comma-separated server IDs this process hosts (requires -port-base; empty = all)")
@@ -86,8 +83,6 @@ func main() {
 	cfg.StorageEfficiencyMin = *s
 	cfg.Transport = "tcp"
 	cfg.ListenHost = *host
-	cfg.MuxConnsPerPeer = *muxConns
-	cfg.MaxInFlight = *maxInFlight
 	if *elastic {
 		cfg.Membership = &corec.MembershipConfig{}
 	}

@@ -175,19 +175,12 @@ type Config struct {
 	// LocalServers slice. Requires Transport "tcp" and PortBase > 0. Nil
 	// (the default) hosts the whole fleet in-process.
 	LocalServers []ServerID
-	// MuxConnsPerPeer enables request multiplexing on the TCP fabric: that
-	// many shared connections per peer carry pipelined requests correlated
-	// by frame request IDs, with pooled zero-copy frame buffers. 0 (default)
-	// keeps the one-request-per-connection baseline path — the comparison
-	// arm the transport benchmark measures against. Servers follow the same
-	// setting (pipelined connections expect request IDs on the stream), so
-	// all servers and clients of one service must agree, like Construction.
-	// Ignored by "inproc".
+	// MuxConnsPerPeer is the number of shared TCP connections this process
+	// keeps to each peer; they carry pipelined requests correlated by frame
+	// request IDs, with pooled zero-copy frame buffers. A value <= 0 means
+	// transport.DefaultMuxConns (2). The setting is local to each process:
+	// servers and clients need not agree. Ignored by "inproc".
 	MuxConnsPerPeer int
-	// MaxInFlight bounds the pipelining window per multiplexed connection
-	// (backpressure on a saturated peer). 0 resolves to
-	// transport.DefaultMaxInFlight. Ignored unless MuxConnsPerPeer > 0.
-	MaxInFlight int
 	// Classifier tunes CoREC classification; zero value gets defaults over
 	// Domain.
 	Classifier classifier.Config
@@ -383,7 +376,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			host = "127.0.0.1"
 		}
 		tn := transport.NewTCPNetwork(host)
-		tn.ConfigureMux(cfg.MuxConnsPerPeer, cfg.MaxInFlight)
+		tn.ConfigureMux(cfg.MuxConnsPerPeer, 0)
 		tn.SetPortBase(cfg.PortBase)
 		net = tn
 	default:
@@ -702,10 +695,10 @@ func (c *Cluster) ServerAddrs() map[ServerID]string {
 // management methods (Kill, Replace, EndTimeStep) are inert.
 //
 // When the service runs elastic membership, set cfg.Membership (matching
-// the service, like Construction or MuxConnsPerPeer): the handle then
-// pulls a membership snapshot over the wire and places on the same
-// dynamic ring as the fleet, instead of guessing from a static server
-// count that drifts as servers join and drain.
+// the service, like Construction): the handle then pulls a membership
+// snapshot over the wire and places on the same dynamic ring as the fleet,
+// instead of guessing from a static server count that drifts as servers
+// join and drain. The TCP connection count needs no matching.
 func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Servers <= 0 {
@@ -719,7 +712,7 @@ func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 		host = "127.0.0.1"
 	}
 	net := transport.NewTCPNetwork(host)
-	net.ConfigureMux(cfg.MuxConnsPerPeer, cfg.MaxInFlight)
+	net.ConfigureMux(cfg.MuxConnsPerPeer, 0)
 	for id, addr := range addrs {
 		net.AddRemote(types.ServerID(id), addr)
 	}

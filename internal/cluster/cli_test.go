@@ -28,14 +28,13 @@ func TestCLIAgainstLiveFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// cli runs one corec-cli invocation with the connection flags matching
-	// the fleet's geometry (mux discipline and codec parameters must agree
-	// with the service, exactly as a real operator's would).
+	// cli runs one corec-cli invocation with the flags matching the
+	// fleet's geometry (codec parameters must agree with the service,
+	// exactly as a real operator's would).
 	cli := func(args ...string) (string, error) {
 		full := append([]string{
 			"-addr-file", addrFile,
 			"-membership",
-			"-mux-conns", "2",
 			"-k", "2",
 			"-nlevel", "1",
 		}, args...)

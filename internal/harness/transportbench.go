@@ -9,52 +9,33 @@ import (
 	"sync"
 	"time"
 
-	"corec/internal/simnet"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
 
 // Staging-throughput benchmark for the transport layer: concurrent clients
-// push put/get round-trips through a TCP loopback fabric in two disciplines
-// — the seed's one-request-per-connection baseline and the multiplexed
-// zero-copy path — plus the in-process fabric as a syscall-free reference.
-// Each arm is hosted on its own fabric so the server mode matches the
-// client discipline end to end (a baseline arm measures the original stack,
-// sequential server loop included). `make bench` serializes the report to
-// BENCH_transport.json so transport regressions show up as diffs in review.
+// push put/get round-trips through a TCP loopback fabric on its multiplexed
+// zero-copy path. `make bench` serializes the report to BENCH_transport.json
+// so transport regressions show up as diffs in review.
 
-// transportBenchMux are the mux knobs the benchmark exercises: a small
-// shared connection set with the default pipelining window.
-const (
-	transportBenchMuxConns = 2
-	transportBenchWindow   = transport.DefaultMaxInFlight
-	transportBenchConc     = 8
-)
+// transportBenchConc is the number of client goroutines; the fabric runs
+// its default connection count and window.
+const transportBenchConc = 8
 
 // TransportBenchRow is one throughput/latency measurement.
 type TransportBenchRow struct {
-	// Fabric is "tcp" (loopback) or "inproc".
-	Fabric string `json:"fabric"`
-	// Mode is the discipline: "baseline" (one request per pooled
-	// connection, seed server loop), "mux" (pipelined multiplexed
-	// connections, pooled zero-copy frames), or "direct" (in-process).
-	Mode string `json:"mode"`
 	// Op is "put" (payload client->server) or "get" (payload server->client).
 	Op string `json:"op"`
 	// PayloadBytes is the logical object size moved per operation.
 	PayloadBytes int `json:"payload_bytes"`
 	// Concurrency is the number of client goroutines issuing requests.
 	Concurrency int `json:"concurrency"`
-	// GBps is payload volume moved per second, best interleaved round.
+	// GBps is payload volume moved per second, best round.
 	GBps float64 `json:"gb_per_s"`
 	// P50Micros/P99Micros are per-request latency percentiles of the best
 	// round, in microseconds.
 	P50Micros float64 `json:"p50_us"`
 	P99Micros float64 `json:"p99_us"`
-	// SpeedupVsBaseline is this row's GBps over the baseline row's for the
-	// same op and payload (1.0 on baseline rows; 0 on inproc rows, which
-	// have no baseline pairing).
-	SpeedupVsBaseline float64 `json:"speedup_vs_baseline"`
 }
 
 // TransportBenchReport is the full harness output, serialized to
@@ -62,14 +43,15 @@ type TransportBenchRow struct {
 type TransportBenchReport struct {
 	GOMAXPROCS int  `json:"gomaxprocs"`
 	Quick      bool `json:"quick"`
-	// MuxConnsPerPeer/MaxInFlight are the knobs the mux rows ran with.
-	MuxConnsPerPeer int                 `json:"mux_conns_per_peer"`
-	MaxInFlight     int                 `json:"max_in_flight"`
-	Rows            []TransportBenchRow `json:"rows"`
+	// ConnsPerPeer and Window are the connection count per peer and the
+	// in-flight window per connection the rows ran with.
+	ConnsPerPeer int                 `json:"conns_per_peer"`
+	Window       int                 `json:"window"`
+	Rows         []TransportBenchRow `json:"rows"`
 }
 
-// transportArmResult is one timed round of one arm.
-type transportArmResult struct {
+// transportRoundResult is one timed round.
+type transportRoundResult struct {
 	gbps     float64
 	p50, p99 float64 // microseconds
 }
@@ -92,10 +74,10 @@ func benchHandler(getPool []byte) transport.Handler {
 	}
 }
 
-// runTransportArm drives conc client goroutines through round-trips on the
+// runTransportRound drives conc client goroutines through round-trips on the
 // fabric for one batch window and reports throughput and latency
 // percentiles over every completed operation.
-func runTransportArm(n transport.Network, to types.ServerID, op string, payload []byte, conc int, batch time.Duration) (transportArmResult, error) {
+func runTransportRound(n *transport.TCPNetwork, to types.ServerID, op string, payload []byte, conc int, batch time.Duration) (transportRoundResult, error) {
 	runtime.GC()
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -106,9 +88,8 @@ func runTransportArm(n transport.Network, to types.ServerID, op string, payload 
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Client IDs are negative; give each worker its own so the
-			// baseline arm pools one connection per worker, like real
-			// clients do.
+			// Client IDs are negative; each worker gets its own, like real
+			// clients.
 			from := types.ServerID(-1 - w)
 			req := &transport.Message{}
 			mine := make([]time.Duration, 0, 4096)
@@ -131,7 +112,7 @@ func runTransportArm(n transport.Network, to types.ServerID, op string, payload 
 					return
 				}
 				// The response is fully consumed; hand its pooled frame
-				// buffer back (no-op on the baseline and inproc arms).
+				// buffer back.
 				transport.Recycle(resp)
 			}
 			lats[w] = mine
@@ -141,7 +122,7 @@ func runTransportArm(n transport.Network, to types.ServerID, op string, payload 
 	elapsed := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return transportArmResult{}, err
+			return transportRoundResult{}, err
 		}
 	}
 	var all []time.Duration
@@ -149,7 +130,7 @@ func runTransportArm(n transport.Network, to types.ServerID, op string, payload 
 		all = append(all, l...)
 	}
 	if len(all) == 0 {
-		return transportArmResult{}, fmt.Errorf("transport bench: no operations completed")
+		return transportRoundResult{}, fmt.Errorf("transport bench: no operations completed")
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	pct := func(p float64) float64 {
@@ -157,25 +138,25 @@ func runTransportArm(n transport.Network, to types.ServerID, op string, payload 
 		return float64(all[i].Nanoseconds()) / 1e3
 	}
 	bytes := float64(len(all)) * float64(len(payload))
-	return transportArmResult{
+	return transportRoundResult{
 		gbps: bytes / elapsed.Seconds() / 1e9,
 		p50:  pct(0.50),
 		p99:  pct(0.99),
 	}, nil
 }
 
-// betterOf keeps the higher-throughput round (the interleaved-rounds
-// analogue of benchPair's min-of-rounds: discard disturbed windows).
-func betterOf(a, b transportArmResult) transportArmResult {
+// betterOf keeps the higher-throughput round (the analogue of benchPair's
+// min-of-rounds: discard disturbed windows).
+func betterOf(a, b transportRoundResult) transportRoundResult {
 	if b.gbps > a.gbps {
 		return b
 	}
 	return a
 }
 
-// RunTransportBench measures staging round-trip throughput and latency for
-// the baseline and multiplexed TCP disciplines plus the in-process fabric.
-// quick shrinks the payload set and timing windows for CI smoke runs.
+// RunTransportBench measures staging round-trip throughput and latency on
+// the TCP fabric. quick shrinks the payload set and timing windows for CI
+// smoke runs.
 func RunTransportBench(quick bool) (*TransportBenchReport, error) {
 	payloads := []int{64 << 10, 1 << 20}
 	batch, rounds := 300*time.Millisecond, 3
@@ -183,11 +164,14 @@ func RunTransportBench(quick bool) (*TransportBenchReport, error) {
 		payloads = []int{1 << 20}
 		batch, rounds = 80*time.Millisecond, 2
 	}
+	const srv = types.ServerID(0)
+	n := transport.NewTCPNetwork("127.0.0.1")
+	defer n.Close()
 	rep := &TransportBenchReport{
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Quick:           quick,
-		MuxConnsPerPeer: transportBenchMuxConns,
-		MaxInFlight:     transportBenchWindow,
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		Quick:        quick,
+		ConnsPerPeer: n.MuxConns(),
+		Window:       transport.DefaultMaxInFlight,
 	}
 	maxPayload := payloads[len(payloads)-1]
 	getPool := make([]byte, maxPayload)
@@ -196,74 +180,27 @@ func RunTransportBench(quick bool) (*TransportBenchReport, error) {
 		payload[i] = byte(i * 31)
 		getPool[i] = byte(i * 17)
 	}
-	const srv = types.ServerID(0)
-
-	// Each arm gets its own fabric: the server mode (seed sequential loop
-	// vs pipelined demux) follows the fabric's discipline at Register time,
-	// so the baseline arm measures the original stack end to end.
-	netBase := transport.NewTCPNetwork("127.0.0.1")
-	netBase.Register(srv, benchHandler(getPool))
-	defer netBase.Close()
-	netMux := transport.NewTCPNetwork("127.0.0.1")
-	netMux.ConfigureMux(transportBenchMuxConns, transportBenchWindow)
-	netMux.Register(srv, benchHandler(getPool))
-	defer netMux.Close()
-	netInproc := transport.NewInProc(simnet.LinkModel{})
-	netInproc.Register(srv, benchHandler(getPool))
+	n.Register(srv, benchHandler(getPool))
 
 	for _, size := range payloads {
 		for _, op := range []string{"put", "get"} {
-			// Warm both TCP arms outside the clock (dials, pools, server
-			// goroutines), then interleave rounds so host noise hits both
-			// alike; keep each arm's best round.
-			if _, err := runTransportArm(netBase, srv, op, payload[:size], transportBenchConc, batch/4); err != nil {
+			// Warm up outside the clock (dials, pools, server goroutines),
+			// then keep the best of several rounds.
+			if _, err := runTransportRound(n, srv, op, payload[:size], transportBenchConc, batch/4); err != nil {
 				return nil, err
 			}
-			if _, err := runTransportArm(netMux, srv, op, payload[:size], transportBenchConc, batch/4); err != nil {
-				return nil, err
-			}
-			var base, mux transportArmResult
+			var best transportRoundResult
 			for r := 0; r < rounds; r++ {
-				b, err := runTransportArm(netBase, srv, op, payload[:size], transportBenchConc, batch)
+				v, err := runTransportRound(n, srv, op, payload[:size], transportBenchConc, batch)
 				if err != nil {
 					return nil, err
 				}
-				m, err := runTransportArm(netMux, srv, op, payload[:size], transportBenchConc, batch)
-				if err != nil {
-					return nil, err
-				}
-				if r == 0 {
-					base, mux = b, m
-				} else {
-					base, mux = betterOf(base, b), betterOf(mux, m)
-				}
+				best = betterOf(best, v)
 			}
-			inp := transportArmResult{}
-			for r := 0; r < rounds; r++ {
-				v, err := runTransportArm(netInproc, srv, op, payload[:size], transportBenchConc, batch/2)
-				if err != nil {
-					return nil, err
-				}
-				inp = betterOf(inp, v)
-			}
-			rep.Rows = append(rep.Rows,
-				TransportBenchRow{
-					Fabric: "tcp", Mode: "baseline", Op: op, PayloadBytes: size,
-					Concurrency: transportBenchConc,
-					GBps:        base.gbps, P50Micros: base.p50, P99Micros: base.p99,
-					SpeedupVsBaseline: 1,
-				},
-				TransportBenchRow{
-					Fabric: "tcp", Mode: "mux", Op: op, PayloadBytes: size,
-					Concurrency: transportBenchConc,
-					GBps:        mux.gbps, P50Micros: mux.p50, P99Micros: mux.p99,
-					SpeedupVsBaseline: mux.gbps / base.gbps,
-				},
-				TransportBenchRow{
-					Fabric: "inproc", Mode: "direct", Op: op, PayloadBytes: size,
-					Concurrency: transportBenchConc,
-					GBps:        inp.gbps, P50Micros: inp.p50, P99Micros: inp.p99,
-				})
+			rep.Rows = append(rep.Rows, TransportBenchRow{
+				Op: op, PayloadBytes: size, Concurrency: transportBenchConc,
+				GBps: best.gbps, P50Micros: best.p50, P99Micros: best.p99,
+			})
 		}
 	}
 	return rep, nil
@@ -272,16 +209,11 @@ func RunTransportBench(quick bool) (*TransportBenchReport, error) {
 // WriteTransportBench renders the report as the human-readable companion to
 // the JSON artifact.
 func WriteTransportBench(w io.Writer, rep *TransportBenchReport) {
-	fmt.Fprintf(w, "Transport staging benchmarks (GOMAXPROCS=%d, quick=%v, mux %d conns x %d window, %d clients)\n",
-		rep.GOMAXPROCS, rep.Quick, rep.MuxConnsPerPeer, rep.MaxInFlight, transportBenchConc)
-	fmt.Fprintf(w, "%-8s %-10s %-5s %-10s %-9s %-11s %-11s %s\n",
-		"fabric", "mode", "op", "payload", "GB/s", "p50 us", "p99 us", "vs baseline")
+	fmt.Fprintf(w, "Transport staging benchmarks (GOMAXPROCS=%d, quick=%v, %d conns x %d window, %d clients)\n",
+		rep.GOMAXPROCS, rep.Quick, rep.ConnsPerPeer, rep.Window, transportBenchConc)
+	fmt.Fprintf(w, "%-5s %-10s %-9s %-11s %s\n", "op", "payload", "GB/s", "p50 us", "p99 us")
 	for _, r := range rep.Rows {
-		speedup := "-"
-		if r.SpeedupVsBaseline > 0 {
-			speedup = fmt.Sprintf("%.2fx", r.SpeedupVsBaseline)
-		}
-		fmt.Fprintf(w, "%-8s %-10s %-5s %-10s %-9.3f %-11.0f %-11.0f %s\n",
-			r.Fabric, r.Mode, r.Op, fmtBytes(r.PayloadBytes), r.GBps, r.P50Micros, r.P99Micros, speedup)
+		fmt.Fprintf(w, "%-5s %-10s %-9.3f %-11.0f %.0f\n",
+			r.Op, fmtBytes(r.PayloadBytes), r.GBps, r.P50Micros, r.P99Micros)
 	}
 }

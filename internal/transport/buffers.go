@@ -13,6 +13,10 @@ import (
 //
 // Ownership rules (the contract that makes pooling safe):
 //
+//   - The send side never copies or pools a request's Data: TCPNetwork.Send
+//     writes it straight from the caller's slice, and only until Send
+//     returns. On success or on any error, the caller owns the request and
+//     its Data again once Send returns (see Send and muxConn.abandon).
 //   - getBuf hands out a buffer the caller owns exclusively.
 //   - putBuf returns it; the caller must hold no references afterwards.
 //   - readFramePooled recycles its buffer itself UNLESS the decoded

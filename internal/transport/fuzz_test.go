@@ -82,17 +82,18 @@ func TestFrameStreamStaysAligned(t *testing.T) {
 	first[frameHeaderSize] ^= 0xFF // corrupt the first payload byte
 	var stream bytes.Buffer
 	stream.Write(first)
-	if err := WriteFrame(&stream, sampleMessage()); err != nil {
+	if err := writeFrameID(&stream, sampleMessage(), 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(&stream); !errors.Is(err, ErrCorruptFrame) {
+	hdr := make([]byte, frameHeaderSize)
+	if _, _, err := readFramePooled(&stream, hdr); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("corrupt frame read: err = %v, want ErrCorruptFrame", err)
 	}
-	m, err := ReadFrame(&stream)
+	reqID, m, err := readFramePooled(&stream, hdr)
 	if err != nil {
 		t.Fatalf("stream lost alignment after corrupt frame: %v", err)
 	}
-	if m.Kind != sampleMessage().Kind || m.Var != sampleMessage().Var {
+	if reqID != 7 || m.Kind != sampleMessage().Kind || m.Var != sampleMessage().Var {
 		t.Fatal("frame after corruption decoded wrong")
 	}
 }

@@ -10,27 +10,33 @@ import (
 	"corec/internal/types"
 )
 
-// Request multiplexing: instead of dedicating one pooled connection to
-// every in-flight request, a small fixed set of connections per peer
-// carries many concurrent requests, correlated by the frame header's
-// request ID. Each connection runs one writer goroutine (scatter-gather
-// frame writes off a channel) and one demultiplexing reader goroutine
-// (pooled frame reads, responses routed to per-request channels), with a
-// bounded in-flight window applying backpressure.
+// Request multiplexing: a small fixed set of connections per peer carries
+// many concurrent requests, correlated by the frame header's request ID.
+// Each connection runs one writer goroutine (scatter-gather frame writes
+// off a channel) and one demultiplexing reader goroutine (pooled frame
+// reads, responses routed to per-request channels), with a bounded
+// in-flight window applying backpressure.
 //
-// Failure semantics mirror the baseline path:
+// Failure semantics:
 //
 //   - A corrupt response frame fails only its own request with the
 //     retryable ErrCorruptFrame; the length prefix bounded the damage, so
 //     the stream realigns and every other pipelined request proceeds.
 //   - A dead connection (EOF, reset, write error) fails all its pending
 //     requests with the retryable ErrConnBroken and the next request
-//     transparently dials a replacement — and, like the baseline's
-//     stale-pool redial, the failing request itself is salvaged by one
-//     immediate retry on the fresh connection (counted in MuxRedials).
+//     transparently dials a replacement (counted in MuxRedials). The
+//     failing request itself is salvaged by one immediate retry: the
+//     shared connection may simply predate a server restart under the
+//     same address.
+//   - A request abandoned by its caller (context done) before the writer
+//     claimed it is skipped by the writer. One abandoned while the writer
+//     is encoding it fails its connection, because only closing the
+//     connection interrupts a blocked write; see Send for why.
 
-// DefaultMaxInFlight is the per-connection pipelining window used when
-// multiplexing is enabled without an explicit bound.
+// DefaultMuxConns is the number of multiplexed connections per peer.
+const DefaultMuxConns = 2
+
+// DefaultMaxInFlight is the per-connection pipelining window.
 const DefaultMaxInFlight = 32
 
 // muxResult carries one demultiplexed response (or its failure).
@@ -62,21 +68,29 @@ type muxConn struct {
 	sem  chan struct{}
 	done chan struct{}
 	once sync.Once
+	// writerDone is closed when writeLoop returns; from then on the writer
+	// holds no request.
+	writerDone chan struct{}
 
 	mu      sync.Mutex
 	pending map[uint64]chan muxResult
+	// writing is the ID of the request the writer is encoding (0 = none).
+	// The writer claims a request under mu, and only while it is still
+	// pending, so a request abandoned before the claim is never read.
+	writing uint64
 	broken  bool
 	cause   error
 }
 
 func newMuxConn(owner *TCPNetwork, conn net.Conn, window int) *muxConn {
 	mc := &muxConn{
-		owner:   owner,
-		conn:    conn,
-		writeCh: make(chan muxWrite, window),
-		sem:     make(chan struct{}, window),
-		done:    make(chan struct{}),
-		pending: make(map[uint64]chan muxResult),
+		owner:      owner,
+		conn:       conn,
+		writeCh:    make(chan muxWrite, window),
+		sem:        make(chan struct{}, window),
+		done:       make(chan struct{}),
+		writerDone: make(chan struct{}),
+		pending:    make(map[uint64]chan muxResult),
 	}
 	go mc.writeLoop()
 	go mc.readLoop()
@@ -84,10 +98,18 @@ func newMuxConn(owner *TCPNetwork, conn net.Conn, window int) *muxConn {
 }
 
 func (mc *muxConn) writeLoop() {
+	defer close(mc.writerDone)
 	for {
 		select {
 		case w := <-mc.writeCh:
-			if err := writeFrameID(mc.conn, w.m, w.reqID); err != nil {
+			if !mc.claim(w.reqID) {
+				continue // abandoned by its requester: never touch w.m
+			}
+			err := writeFrameID(mc.conn, w.m, w.reqID)
+			mc.mu.Lock()
+			mc.writing = 0
+			mc.mu.Unlock()
+			if err != nil {
 				// A partial frame may be on the wire; the stream cannot be
 				// trusted, so the whole connection fails (the pending
 				// request, this one included, all get ErrConnBroken).
@@ -98,6 +120,18 @@ func (mc *muxConn) writeLoop() {
 			return
 		}
 	}
+}
+
+// claim marks reqID as being written, unless its requester abandoned it
+// or the connection broke.
+func (mc *muxConn) claim(reqID uint64) bool {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	if _, ok := mc.pending[reqID]; !ok || mc.broken {
+		return false
+	}
+	mc.writing = reqID
+	return true
 }
 
 func (mc *muxConn) readLoop() {
@@ -137,12 +171,20 @@ func (mc *muxConn) deliver(reqID uint64, r muxResult) {
 	// dropped and its buffer left to the GC.
 }
 
-// forget abandons a pending request (context cancellation). Any late
-// response is discarded by deliver.
-func (mc *muxConn) forget(reqID uint64) {
+// abandon withdraws a request that will not complete with a response and
+// returns only once the writer no longer holds it. A request still queued
+// is skipped by the writer's claim; one being written fails the
+// connection, which unblocks the write, and abandon waits for the writer
+// to exit. Any late response is discarded by deliver.
+func (mc *muxConn) abandon(reqID uint64) {
 	mc.mu.Lock()
 	delete(mc.pending, reqID)
+	held := mc.writing == reqID
 	mc.mu.Unlock()
+	if held {
+		mc.fail(errors.New("request abandoned mid-write"))
+		<-mc.writerDone
+	}
 }
 
 // fail marks the connection broken, closes it, and fails every pending
@@ -188,7 +230,8 @@ func (mc *muxConn) release() {
 
 // roundTrip runs one request over the multiplexed connection: acquire a
 // window slot, register the request ID, enqueue the frame for the writer,
-// await the demultiplexed response.
+// await the demultiplexed response. It returns an error only after the
+// writer has let go of req (see abandon).
 func (mc *muxConn) roundTrip(ctx context.Context, req *Message) (*Message, error) {
 	select {
 	case mc.sem <- struct{}{}:
@@ -213,18 +256,21 @@ func (mc *muxConn) roundTrip(ctx context.Context, req *Message) (*Message, error
 	select {
 	case mc.writeCh <- muxWrite{reqID: reqID, m: req}:
 	case <-mc.done:
-		mc.forget(reqID)
+		mc.abandon(reqID)
 		return nil, mc.brokenErr()
 	case <-ctx.Done():
-		mc.forget(reqID)
+		mc.abandon(reqID)
 		return nil, ctx.Err()
 	}
 
 	select {
 	case r := <-ch:
+		if r.err != nil {
+			mc.abandon(reqID)
+		}
 		return r.m, r.err
 	case <-ctx.Done():
-		mc.forget(reqID)
+		mc.abandon(reqID)
 		return nil, ctx.Err()
 	}
 }
@@ -240,9 +286,10 @@ func (n *TCPNetwork) getMuxConn(to types.ServerID) (*muxConn, error) {
 	}
 	i := int(set.next % uint64(len(set.conns)))
 	set.next++
-	if mc := set.conns[i]; mc != nil && !mc.isBroken() {
+	old := set.conns[i]
+	if old != nil && !old.isBroken() {
 		n.muxMu.Unlock()
-		return mc, nil
+		return old, nil
 	}
 	// Dialing under muxMu keeps slot management race-free; dials are rare
 	// (first use of a peer and replacement of broken connections).
@@ -251,17 +298,31 @@ func (n *TCPNetwork) getMuxConn(to types.ServerID) (*muxConn, error) {
 		n.muxMu.Unlock()
 		return nil, err
 	}
+	if old != nil {
+		n.muxRedials.Add(1)
+	}
 	mc := newMuxConn(n, c, n.maxInFlight)
 	set.conns[i] = mc
 	n.muxMu.Unlock()
 	return mc, nil
 }
 
-// sendMux is Send's multiplexed path. A request whose connection broke is
-// retried once on a fresh connection — the mux analogue of the baseline's
-// stale-pool redial: the shared connection may simply predate a server
-// restart, and that salvage must not surface as a request failure.
-func (n *TCPNetwork) sendMux(ctx context.Context, from, to types.ServerID, req *Message) (*Message, error) {
+// Send implements Network: the request rides one of the destination's
+// shared multiplexed connections. A request whose connection broke is
+// retried once on the next connection (dialed afresh if it broke too),
+// because the shared connection may simply predate a server restart and
+// that salvage must not surface as a request failure.
+//
+// Ownership: Send sets req.From and reads req, Data included, only until
+// it returns. Once Send returns, with a response or with any error
+// (context cancellation included), the fabric holds no reference to req:
+// the caller may resend it or overwrite its Data, and the bytes it writes
+// never reach the wire under this request. Keeping that promise means a
+// request cancelled while its frame is half written fails its connection;
+// the other requests on it get the retryable ErrConnBroken and are
+// salvaged by the redial above. The response belongs to the caller (see
+// Recycle).
+func (n *TCPNetwork) Send(ctx context.Context, from, to types.ServerID, req *Message) (*Message, error) {
 	req.From = from
 	mc, err := n.getMuxConn(to)
 	if err != nil {
@@ -271,10 +332,9 @@ func (n *TCPNetwork) sendMux(ctx context.Context, from, to types.ServerID, req *
 	if err == nil || !errors.Is(err, ErrConnBroken) || ctx.Err() != nil {
 		return resp, err
 	}
-	n.muxRedials.Add(1)
-	mc, derr := n.getMuxConn(to)
-	if derr != nil {
-		return nil, derr
+	mc, err = n.getMuxConn(to)
+	if err != nil {
+		return nil, err
 	}
 	return mc.roundTrip(ctx, req)
 }
@@ -331,35 +391,23 @@ func (n *TCPNetwork) ActiveMuxConns() int {
 	return live
 }
 
-// BreakConns severs every live client connection to the destination —
-// idle pooled baseline connections and multiplexed connections alike —
+// BreakConns severs every live client connection to the destination
 // without touching the destination server. The seeded fault injector uses
-// it to model mid-stream connection loss; requests in mux flight fail with
+// it to model mid-stream connection loss; requests in flight fail with
 // the retryable ErrConnBroken and are salvaged by the redial path.
 func (n *TCPNetwork) BreakConns(to types.ServerID) int {
-	n.mu.Lock()
-	idle := n.pool[to]
-	delete(n.pool, to)
-	n.mu.Unlock()
-	broken := 0
-	for _, c := range idle {
-		_ = c.Close() // idle pooled conn; the next user redials
-		broken++
-	}
 	n.muxMu.Lock()
 	var mcs []*muxConn
 	if set := n.muxes[to]; set != nil {
-		for i, mc := range set.conns {
-			if mc != nil {
+		for _, mc := range set.conns {
+			if mc != nil && !mc.isBroken() {
 				mcs = append(mcs, mc)
-				set.conns[i] = nil
 			}
 		}
 	}
 	n.muxMu.Unlock()
 	for _, mc := range mcs {
 		mc.fail(errors.New("connection broken by fault injection"))
-		broken++
 	}
-	return broken
+	return len(mcs)
 }

@@ -212,6 +212,8 @@ func hostAddr(t *testing.T, n *TCPNetwork, id types.ServerID) string {
 	return addr
 }
 
+// TestTCPPoolReusesConnections checks sequential sends share the peer's
+// multiplexed connection set instead of dialing per request.
 func TestTCPPoolReusesConnections(t *testing.T) {
 	n := NewTCPNetwork("127.0.0.1")
 	defer n.Close()
@@ -221,10 +223,13 @@ func TestTCPPoolReusesConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.mu.Lock()
-	pooled := len(n.pool[0])
-	n.mu.Unlock()
-	if pooled != 1 {
-		t.Fatalf("pool holds %d conns after sequential sends, want 1", pooled)
+	n.muxMu.Lock()
+	set := n.muxes[0]
+	n.muxMu.Unlock()
+	if set == nil || len(set.conns) != DefaultMuxConns {
+		t.Fatalf("peer connection set = %+v, want %d connections", set, DefaultMuxConns)
+	}
+	if live := n.ActiveMuxConns(); live != DefaultMuxConns {
+		t.Fatalf("%d live connections after 10 sends, want %d", live, DefaultMuxConns)
 	}
 }

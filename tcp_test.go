@@ -53,15 +53,14 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTCPClusterMuxEndToEnd runs the same full-cluster paths over the
-// multiplexed transport: pipelined connections, pooled zero-copy frames,
-// and request-ID correlation, including a primary kill and degraded read.
-// It also checks that FabricStatus surfaces the transport gauges.
+// TestTCPClusterMuxEndToEnd runs the same full-cluster paths with a
+// non-default connection count per peer, including a primary kill and
+// degraded read, and checks that FabricStatus surfaces the transport
+// gauges.
 func TestTCPClusterMuxEndToEnd(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Transport = "tcp"
-	cfg.MuxConnsPerPeer = 2
-	cfg.MaxInFlight = 16
+	cfg.MuxConnsPerPeer = 3
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +84,8 @@ func TestTCPClusterMuxEndToEnd(t *testing.T) {
 
 	st := cluster.FabricStatus()
 	ts := st.Transport
-	if ts.MuxConnsPerPeer != 2 || ts.MaxInFlight != 16 {
-		t.Fatalf("transport status knobs = (%d, %d), want (2, 16)", ts.MuxConnsPerPeer, ts.MaxInFlight)
+	if ts.MuxConnsPerPeer != 3 {
+		t.Fatalf("transport status MuxConnsPerPeer = %d, want 3", ts.MuxConnsPerPeer)
 	}
 	if ts.ActiveMuxConns == 0 {
 		t.Fatal("no active multiplexed connections after staging traffic")
