@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test race short transportrace scrubrace churnrace storagerace perfbench bench ci clean
+.PHONY: all build vet staticcheck lint test race short transportrace serverrace scrubrace churnrace storagerace perfbench bench ci clean
 
 all: ci
 
@@ -41,6 +41,11 @@ short:
 # goroutines, cancellation and redial paths all run here.
 transportrace:
 	$(GO) test -race -cpu 1,4 ./internal/transport
+
+# Race-detector pass over the staging server at one and several cores:
+# the directory shard and its index, encode workers and stripe drops.
+serverrace:
+	$(GO) test -race -cpu 1,4 ./internal/server
 
 # Race-detector pass focused on the background anti-entropy scrubber and
 # chaos paths: the concurrent scrub/foreground test runs even under -short
@@ -90,7 +95,7 @@ bench:
 	$(GO) run ./cmd/corec-bench -experiment tiering -json BENCH_tiering.json
 	$(GO) run ./cmd/corec-bench -experiment cluster -json BENCH_cluster.json
 
-ci: vet staticcheck lint build race transportrace scrubrace churnrace storagerace test perfbench clusterquick
+ci: vet staticcheck lint build race transportrace serverrace scrubrace churnrace storagerace test perfbench clusterquick
 
 clean:
 	$(GO) clean ./...

@@ -16,7 +16,9 @@ import (
 // with each record mirrored on the shard's ring successor so one failure
 // never loses metadata. Servers host their shard in the dir/dirStripes maps
 // and reach other shards through the same transport as the data plane,
-// charging the Metadata bucket.
+// charging the Metadata bucket. A per-variable index (dirIndex) over the
+// dir map lets a region query visit only the records that can intersect
+// it.
 
 // --- shard-side handlers ---
 
@@ -31,7 +33,8 @@ func (s *Server) handleMetaUpdate(req *transport.Message) *transport.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := req.Meta.ID.Key()
-	if cur, ok := s.dir[key]; ok {
+	cur, ok := s.dir[key]
+	if ok {
 		if cur.Version > req.Meta.Version ||
 			(cur.Version == req.Meta.Version && req.Meta.Seq < cur.Seq) {
 			// Stale update from a slow path (a delayed group write, a
@@ -52,6 +55,9 @@ func (s *Server) handleMetaUpdate(req *transport.Message) *transport.Message {
 			return transport.Ok()
 		}
 	}
+	if !ok {
+		s.dirIdx.add(key, req.Meta.ID)
+	}
 	s.dir[key] = req.Meta.Clone()
 	return transport.Ok()
 }
@@ -69,26 +75,36 @@ func (s *Server) handleMetaLookup(req *transport.Message) *transport.Message {
 func (s *Server) handleMetaQuery(req *transport.Message) *transport.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var keys []string
+	for _, e := range s.dirIdx.window(req.Var, req.Box) {
+		if req.Box.Valid() && !s.dir[e.key].ID.Box.Intersects(req.Box) {
+			continue
+		}
+		keys = append(keys, e.key)
+	}
+	// Key order, not index order: query responses are wire output and must
+	// be byte-identical across runs and to a full-shard scan.
+	sort.Strings(keys)
 	resp := &transport.Message{Kind: transport.MsgOK}
-	// Key order, not map order: query responses are wire output and must
-	// be byte-identical across runs.
-	for _, k := range sortedKeys(s.dir) {
-		m := s.dir[k]
-		if m.ID.Var != req.Var {
-			continue
-		}
-		if req.Box.Valid() && !m.ID.Box.Intersects(req.Box) {
-			continue
-		}
-		resp.Metas = append(resp.Metas, *m.Clone())
+	for _, k := range keys {
+		resp.Metas = append(resp.Metas, *s.dir[k].Clone())
 	}
 	return resp
 }
 
+// handleMetaDelete removes an object record (Key) or a stripe record
+// (Stripe, when set).
 func (s *Server) handleMetaDelete(req *transport.Message) *transport.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.dir, req.Key)
+	if req.Stripe != (types.StripeID{}) {
+		delete(s.dirStripes, req.Stripe)
+		return transport.Ok()
+	}
+	if m, ok := s.dir[req.Key]; ok {
+		s.dirIdx.remove(req.Key, m.ID)
+		delete(s.dir, req.Key)
+	}
 	return transport.Ok()
 }
 
@@ -257,6 +273,9 @@ func hintEntry(msg *transport.Message) (string, bool) {
 		}
 		return "m/" + msg.Meta.ID.Key(), true
 	case transport.MsgMetaDelete:
+		if msg.Stripe != (types.StripeID{}) {
+			return "s/" + msg.Stripe.String(), true
+		}
 		return "m/" + msg.Key, true
 	case transport.MsgStripeUpdate:
 		if msg.StripeInfo == nil {

@@ -286,10 +286,12 @@ func (s *Server) handleEncodeDelegate(ctx context.Context, req *transport.Messag
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
 
-// dropStripe removes the shards of a stripe from the coding group (used
-// when an encoded object is promoted back to replication or rewritten in
-// replicated form).
-func (s *Server) dropStripe(ctx context.Context, id types.StripeID, size int) {
+// dropStripe removes the shards of a stripe from the coding group, then
+// its stripe record from the directory (used when an encoded object is
+// promoted back to replication, rewritten, re-encoded or deleted). A
+// reader still holding metadata that names the stripe fails its stripe
+// lookup and re-reads the object's current record.
+func (s *Server) dropStripe(ctx context.Context, id types.StripeID) {
 	if id == (types.StripeID{}) {
 		return
 	}
@@ -298,7 +300,11 @@ func (s *Server) dropStripe(ctx context.Context, id types.StripeID, size int) {
 		return
 	}
 	s.dropStripeMembers(ctx, info)
-	_ = size
+	start := time.Now()
+	// Mirrors that miss the delete get it as a hint like any other
+	// directory write.
+	_ = s.sendToGroup(ctx, s.dirGroup(id.String()), &transport.Message{Kind: transport.MsgMetaDelete, Stripe: id})
+	s.col.Add(metrics.Metadata, time.Since(start))
 }
 
 // dropStripeMembers drops every shard of the stripe from its members.
@@ -438,7 +444,7 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 	if err := s.replicateObject(ctx, obj); err != nil {
 		return false
 	}
-	s.dropStripe(ctx, st.stripe, st.size)
+	s.dropStripe(ctx, st.stripe)
 	if cls := s.decider.Classifier(); cls != nil {
 		cls.SetEncoded(id, false)
 	}

@@ -139,6 +139,9 @@ type Server struct {
 	// dir is this server's metadata directory shard (primary entries plus
 	// backups for the ring-predecessor's shard).
 	dir map[string]*types.ObjectMeta
+	// dirIdx indexes dir by variable and dim-0 lower corner for
+	// MsgMetaQuery; it changes exactly when dir gains or loses a key.
+	dirIdx dirIndex
 	// dirStripes holds stripe records in the directory shard.
 	dirStripes map[types.StripeID]*types.StripeInfo
 	// mirrorHints holds directory writes that landed on a quorum of their
@@ -263,6 +266,7 @@ func New(cfg Config) (*Server, error) {
 		shardSums:   make(map[string]uint64),
 		local:       make(map[string]*localState),
 		dir:         make(map[string]*types.ObjectMeta),
+		dirIdx:      make(dirIndex),
 		dirStripes:  make(map[types.StripeID]*types.StripeInfo),
 		mirrorHints: make(map[string]mirrorHint),
 	}
@@ -367,7 +371,7 @@ func (s *Server) processEncode(key string) {
 	obj := s.objects[key]
 	s.mu.Unlock()
 	if hasDrop {
-		s.dropStripe(context.Background(), drop, 0)
+		s.dropStripe(context.Background(), drop)
 	}
 	if !ok || obj == nil || st.state != types.StateReplicated {
 		return
