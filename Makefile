@@ -1,11 +1,18 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test race short transportrace serverrace scrubrace churnrace storagerace perfbench bench ci clean
+.PHONY: all build crossbuild vet staticcheck lint test race short transportrace serverrace scrubrace churnrace storagerace perfbench bench ci clean
 
 all: ci
 
 build:
 	$(GO) build ./...
+
+# Cross-compile for architectures without the amd64 assembly, so the
+# portable GF(256) kernels (internal/gf256/kernels_noasm.go) and every
+# other non-amd64 path keep building. Needs no network.
+crossbuild:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -61,10 +68,10 @@ churnrace:
 
 # Race-detector pass focused on the tiered storage engine: the concurrent
 # spill/upload/prefetch chaos tests plus the cluster-level kill-restart
-# recovery of the disk tier.
+# recovery of the disk tier, at one and several cores.
 storagerace:
-	$(GO) test -race ./internal/storage
-	$(GO) test -race -run 'TestTiered' .
+	$(GO) test -race -cpu 1,2,4 ./internal/storage
+	$(GO) test -race -cpu 1,2,4 -run 'TestTiered' .
 
 # The repo benchmark is its own Go module, so `go test ./...` never builds
 # it; it is the consumer that keeps Config.MuxConnsPerPeer and
@@ -95,7 +102,7 @@ bench:
 	$(GO) run ./cmd/corec-bench -experiment tiering -json BENCH_tiering.json
 	$(GO) run ./cmd/corec-bench -experiment cluster -json BENCH_cluster.json
 
-ci: vet staticcheck lint build race transportrace serverrace scrubrace churnrace storagerace test perfbench clusterquick
+ci: vet staticcheck lint build crossbuild race transportrace serverrace scrubrace churnrace storagerace test perfbench clusterquick
 
 clean:
 	$(GO) clean ./...

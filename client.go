@@ -231,6 +231,22 @@ func (cl *Client) Get(ctx context.Context, name string, box Box, version Version
 		return nil, err
 	}
 	elem := cl.cluster.cfg.ElemSize
+	if len(metas) == 1 && metas[0].ID.Box.Equal(box) {
+		// One object covering exactly the region: a buffer the fetch
+		// allocated for this call is already the answer, so skip the copy.
+		data, owned, err := cl.fetchObject(ctx, &metas[0])
+		if err != nil {
+			return nil, err
+		}
+		if owned && len(data) == ndarray.BufferSize(box, elem) {
+			return data, nil
+		}
+		out := make([]byte, ndarray.BufferSize(box, elem))
+		if _, err := ndarray.CopyRegion(box, data, box, out, elem); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
 	out := make([]byte, ndarray.BufferSize(box, elem))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -243,7 +259,7 @@ func (cl *Client) Get(ctx context.Context, name string, box Box, version Version
 		wg.Add(1)
 		go func(meta types.ObjectMeta) {
 			defer wg.Done()
-			data, err := cl.fetchObject(ctx, &meta)
+			data, _, err := cl.fetchObject(ctx, &meta)
 			if err == nil {
 				// Safe outside the lock: the partitioner tiles objects over
 				// disjoint boxes, so each copy writes a disjoint region of
@@ -364,29 +380,34 @@ func (cl *Client) queryDirectory(ctx context.Context, name string, box Box) ([]t
 // encoded objects. A fetch can race the background replicated<->encoded
 // transition: on a miss the client refetches the object's metadata and
 // retries through the new state before declaring data loss.
-func (cl *Client) fetchObject(ctx context.Context, meta *types.ObjectMeta) ([]byte, error) {
+//
+// owned reports that the returned buffer was allocated for this call (the
+// join of an encoded object's shards), so the caller may hand it out. A
+// replicated fetch is never owned: over the in-process transport it is the
+// holder's own stored slice.
+func (cl *Client) fetchObject(ctx context.Context, meta *types.ObjectMeta) (data []byte, owned bool, err error) {
 	var lastErr error
 	for attempt := 0; attempt < 10; attempt++ {
-		var data []byte
-		var err error
 		switch meta.State {
 		case types.StateEncoded:
 			data, err = cl.fetchEncoded(ctx, meta)
+			owned = true
 		default:
 			data, err = cl.fetchReplicated(ctx, meta)
+			owned = false
 		}
 		if err == nil {
-			return data, nil
+			return data, owned, nil
 		}
 		lastErr = err
 		if !errors.Is(err, ErrDataLoss) {
-			return nil, err
+			return nil, false, err
 		}
 		// Back off briefly: a state transition (encode commit, promotion,
 		// failover) may be mid-flight; the directory converges quickly.
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		case <-time.After(time.Duration(attempt+1) * 200 * time.Microsecond):
 		}
 		fresh, ok := cl.lookupMeta(ctx, meta.ID.Key())
@@ -395,7 +416,7 @@ func (cl *Client) fetchObject(ctx context.Context, meta *types.ObjectMeta) ([]by
 		}
 		meta = fresh
 	}
-	return nil, lastErr
+	return nil, false, lastErr
 }
 
 // lookupMeta fetches a single object's metadata record from its shard

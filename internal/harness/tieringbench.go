@@ -119,11 +119,12 @@ func tieringArm(arm string, epochs, keys, objBytes int, memBudget int64, prefetc
 
 	// Staging phase: every epoch's objects, time-step tagged. The payload
 	// bytes vary per key so disk records are not trivially compressible by
-	// the page cache's zero detection.
-	buf := make([]byte, objBytes)
+	// the page cache's zero detection. The engine keeps each Put's slice,
+	// so every Put gets a fresh buffer.
 	writeStart := time.Now()
 	for e := 0; e < epochs; e++ {
 		for k := 0; k < keys; k++ {
+			buf := make([]byte, objBytes)
 			for i := range buf {
 				buf[i] = byte(i + e*31 + k*7)
 			}

@@ -36,8 +36,9 @@ func resolveEncodeWorkers(n int) int {
 //
 // reuse carries the existing stripe ID when re-encoding an updated object
 // (zero value mints a fresh stripe). dropReplicas is set when the object
-// was previously replicated.
-func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse types.StripeID, dropReplicas bool) error {
+// was previously replicated. sum is the checksum of obj.Data when the
+// caller already holds it (the primary's local record); 0 means compute it.
+func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse types.StripeID, dropReplicas bool, sum uint64) error {
 	if s.codec == nil {
 		return fmt.Errorf("no codec configured")
 	}
@@ -155,7 +156,9 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 	if err := s.dirUpdateStripe(ctx, info); err != nil {
 		return err
 	}
-	sum := scrub.Checksum(obj.Data)
+	if sum == 0 {
+		sum = scrub.Checksum(obj.Data)
+	}
 	s.setLocalState(obj.ID, obj.Version, len(obj.Data), types.StateEncoded, stripeID, sum)
 	meta := s.buildMeta(obj.ID, obj.Version, len(obj.Data), types.StateEncoded, stripeID, 0, sum)
 	if err := s.dirUpdate(ctx, meta); err != nil {

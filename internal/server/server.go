@@ -389,9 +389,17 @@ func (s *Server) processEncode(key string) {
 			}
 		}
 	}
+	// The local record was summed from obj's bytes when they were
+	// replicated (both are read under s.mu with the write lock held), so
+	// the encode reuses it instead of summing the object again. A record
+	// of another version or size, or one without a sum, is recomputed.
+	sum := st.sum
+	if st.version != obj.Version || st.size != len(obj.Data) {
+		sum = 0
+	}
 	// A failed demotion leaves the object replicated: safe, retried on
 	// the next classification pass.
-	_ = s.encodeObject(context.Background(), obj, types.StripeID{}, true)
+	_ = s.encodeObject(context.Background(), obj, types.StripeID{}, true, sum)
 }
 
 // internalRetry is the bounded resend policy for server-to-server traffic.

@@ -148,7 +148,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 		if existed && priorState == types.StateEncoded {
 			reuse = priorStripe
 		}
-		if err := s.encodeObject(ctx, obj, reuse, existed && priorState == types.StateReplicated); err != nil {
+		if err := s.encodeObject(ctx, obj, reuse, existed && priorState == types.StateReplicated, 0); err != nil {
 			return transport.Errf("server %d: encode: %v", s.id, err)
 		}
 		return transport.Ok()

@@ -164,6 +164,12 @@ type Tiered struct {
 	memBytes int64
 	clock    int64
 
+	// remoteDeletes counts each key's remote deletes that were decided under
+	// mu but not yet issued. Every upload of a key reuses its remote name,
+	// so no upload may start while one is pending: the late delete would
+	// remove the new copy and strand its manifest.
+	remoteDeletes map[string]int
+
 	// Sequential-read streak state for the prefetcher.
 	streakEpoch int64
 	streakSeq   int
@@ -194,20 +200,21 @@ type Tiered struct {
 var _ Engine = (*Tiered)(nil)
 
 // Open builds an engine from cfg. A non-empty Dir opens (and revalidates)
-// the disk tier: every segment record's CRC64 is checked, torn tails are
+// the disk tier: every segment record's checksums are checked, torn tails are
 // truncated, rotten records quarantined, and the offset index rebuilt from
 // the scan. remote is the cluster-shared L3 store (nil disables L3);
 // namespace prefixes this engine's remote keys so servers never collide.
 func Open(cfg Config, remote *RemoteStore, namespace string) (*Tiered, error) {
 	cfg = cfg.withDefaults()
 	t := &Tiered{
-		cfg:         cfg,
-		remote:      remote,
-		ns:          namespace,
-		entries:     make(map[string]*entry),
-		epochs:      make(map[int64][]string),
-		stop:        make(chan struct{}),
-		streakEpoch: -1,
+		cfg:           cfg,
+		remote:        remote,
+		ns:            namespace,
+		entries:       make(map[string]*entry),
+		epochs:        make(map[int64][]string),
+		remoteDeletes: make(map[string]int),
+		stop:          make(chan struct{}),
+		streakEpoch:   -1,
 	}
 	t.idleCond = sync.NewCond(&t.idleMu)
 	if cfg.Dir == "" {
@@ -287,12 +294,19 @@ func (t *Tiered) adoptRestored(idx map[string]restoredEntry) {
 	}
 }
 
-// Put stages an untagged payload. The engine keeps the slice; treat it as
-// immutable afterwards (the staging convention everywhere in this repo).
+// Put stages an untagged payload.
+//
+// Ownership: Put hands data to the engine, which keeps the slice itself
+// (no copy) and later reads it from background spill and upload workers,
+// checksumming and writing whatever bytes it holds then. The caller must
+// not write data after Put returns; a reused buffer corrupts the staged
+// value, and its disk record reads back as missing. The server follows the
+// same hand-off with a request's Data.
 func (t *Tiered) Put(key string, data []byte) { t.PutTagged(key, data, -1) }
 
 // PutTagged stages a payload carrying its time-step tag, which drives
 // sequential-step detection in the prefetcher. epoch < 0 means untagged.
+// It takes ownership of data exactly as Put does.
 func (t *Tiered) PutTagged(key string, data []byte, epoch int64) {
 	size := int64(len(data))
 	t.mu.Lock()
@@ -308,7 +322,7 @@ func (t *Tiered) PutTagged(key string, data []byte, epoch int64) {
 				t.memBytes -= e.size
 			}
 		} else {
-			locs, tomb, remoteDel = t.retireLocked(e)
+			locs, tomb, remoteDel = t.retireLocked(key, e)
 		}
 		e.gen++
 		e.deleted = false
@@ -337,7 +351,7 @@ func (t *Tiered) PutTagged(key string, data []byte, epoch int64) {
 // records to mark dead, whether a tombstone must be appended, and whether
 // the remote copy must be deleted. Caller holds t.mu and is not a
 // background job (busy entries defer retirement to their owning job).
-func (t *Tiered) retireLocked(e *entry) (locs []recordLoc, tomb, remoteDel bool) {
+func (t *Tiered) retireLocked(key string, e *entry) (locs []recordLoc, tomb, remoteDel bool) {
 	switch e.tier {
 	case TierMem:
 		t.memBytes -= e.size
@@ -354,6 +368,9 @@ func (t *Tiered) retireLocked(e *entry) (locs []recordLoc, tomb, remoteDel bool)
 		tomb = true
 		remoteDel = true
 	}
+	if remoteDel && t.remote != nil {
+		t.remoteDeletes[key]++ // settleRetired issues it
+	}
 	return locs, tomb, remoteDel
 }
 
@@ -369,6 +386,12 @@ func (t *Tiered) settleRetired(key string, locs []recordLoc, tomb, remoteDel boo
 	}
 	if remoteDel && t.remote != nil {
 		t.remote.Delete(t.ns + key)
+		t.mu.Lock()
+		t.remoteDeletes[key]--
+		if t.remoteDeletes[key] <= 0 {
+			delete(t.remoteDeletes, key)
+		}
+		t.mu.Unlock()
 	}
 }
 
@@ -402,7 +425,7 @@ func (t *Tiered) Delete(key string) {
 		t.mu.Unlock()
 		return
 	}
-	locs, tomb, remoteDel := t.retireLocked(e)
+	locs, tomb, remoteDel := t.retireLocked(key, e)
 	delete(t.entries, key)
 	t.mu.Unlock()
 	t.settleRetired(key, locs, tomb, remoteDel)
@@ -551,13 +574,18 @@ func (t *Tiered) install(key string, gen uint64, data []byte, from Tier, prefetc
 // deleted) while the job held it. The job kills the records it knows about,
 // appends the key's tombstone, finalizes a deferred delete and releases
 // the entry. The busy gate guarantees no newer record for the key was
-// appended in between, so the tombstone cannot kill fresh data.
+// appended in between, so the tombstone cannot kill fresh data. For the
+// same reason the remote delete is issued before the entry is released:
+// once it is, a new upload may reuse the key's remote name.
 func (t *Tiered) settleStale(key string, locs []recordLoc, remoteDel bool) {
 	if t.disk != nil {
 		for _, l := range locs {
 			t.disk.markDead(l)
 		}
 		t.appendTombstone(key)
+	}
+	if remoteDel && t.remote != nil {
+		t.remote.Delete(t.ns + key)
 	}
 	t.mu.Lock()
 	if e := t.entries[key]; e != nil {
@@ -567,9 +595,6 @@ func (t *Tiered) settleStale(key string, locs []recordLoc, remoteDel bool) {
 		}
 	}
 	t.mu.Unlock()
-	if remoteDel && t.remote != nil {
-		t.remote.Delete(t.ns + key)
-	}
 	t.maybeSpill(false)
 }
 

@@ -187,6 +187,37 @@ func TestRemoteTierUploadAndRead(t *testing.T) {
 	}
 }
 
+// TestUploadWaitsForPendingRemoteDelete pins the guard that stops the
+// chaos test's lost keys. Every upload of a key writes the same remote
+// name, so an upload that started while the delete of the key's retired
+// remote copy was still pending would be removed by that delete, leaving a
+// manifest with nothing behind it.
+func TestUploadWaitsForPendingRemoteDelete(t *testing.T) {
+	remote := NewRemoteStore(RemoteConfig{Seed: 5})
+	e, err := Open(Config{Dir: t.TempDir(), MemBytes: 1, DiskBytes: 1}, remote, "p/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Close() }()
+	// A retired remote copy of "k" whose delete has not been issued yet.
+	e.mu.Lock()
+	e.remoteDeletes["k"]++
+	e.mu.Unlock()
+	e.Put("k", payload(1, 400))
+	e.WaitIdle()
+	if tier, _ := e.TierOf("k"); tier != TierDisk {
+		t.Fatalf("k on tier %v while its remote delete is pending, want disk", tier)
+	}
+	e.settleRetired("k", nil, false, true)
+	waitFor(t, "upload after the delete", func() bool {
+		tier, _ := e.TierOf("k")
+		return tier == TierRemote
+	})
+	if got, ok := e.Get("k"); !ok || !bytes.Equal(got, payload(1, 400)) {
+		t.Fatalf("k unreadable after upload: ok=%v", ok)
+	}
+}
+
 func TestRemoteFaultLeavesDataOnDisk(t *testing.T) {
 	remote := NewRemoteStore(RemoteConfig{FailProb: 1, Seed: 7})
 	e, err := Open(Config{

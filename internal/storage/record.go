@@ -14,7 +14,7 @@ import (
 //	keyLen  u16
 //	dataLen u32
 //	epoch   i64  time-step tag driving the prefetcher (-1 = untagged)
-//	paySum  u64  scrub.Checksum of the payload
+//	paySum  u64  scrub.Checksum of the payload (CRC-32 IEEE high, CRC-32C low)
 //	hdrCRC  u32  CRC32 (IEEE) of the preceding 27 header bytes
 //
 // The two checksums split failure modes: a bad header means the log ends

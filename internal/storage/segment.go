@@ -54,8 +54,11 @@ type restoredEntry struct {
 type RestoreReport struct {
 	// Restored is the number of live records re-indexed from segments.
 	Restored int
-	// Quarantined is the number of records whose payload failed its CRC64
-	// under a valid header: skipped, counted, space reclaimed by compaction.
+	// Quarantined is the number of records whose payload failed its
+	// checksum under a valid header: skipped, counted, space reclaimed by
+	// compaction. A segment written by an older build that summed payloads
+	// with CRC-64 is quarantined record by record this way; the scrubber
+	// restores those shards from their stripes.
 	Quarantined int
 	// TruncatedTails is the number of segments cut back at a torn or
 	// corrupt record header (an interrupted append).
@@ -321,6 +324,50 @@ func (d *diskTier) compactCandidate(frac float64) int {
 		}
 	}
 	return best
+}
+
+// tombstones returns the keys of segment id's tombstone records.
+func (d *diskTier) tombstones(id int) ([]string, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s, ok := d.segs[id]
+	if !ok {
+		return nil, errSegGone
+	}
+	hdr := make([]byte, headerSize)
+	var keys []string
+	for off := int64(0); off < s.size; {
+		if _, err := s.f.ReadAt(hdr, off); err != nil {
+			return nil, fmt.Errorf("storage: read segment: %w", err)
+		}
+		h, err := decodeHeader(hdr)
+		if err != nil {
+			return nil, err
+		}
+		if h.typ == recDead {
+			key := make([]byte, h.keyLen)
+			if _, err := s.f.ReadAt(key, off+headerSize); err != nil {
+				return nil, fmt.Errorf("storage: read segment record: %w", err)
+			}
+			keys = append(keys, string(key))
+		}
+		off += h.recordLen()
+	}
+	return keys, nil
+}
+
+// hasOlder reports whether a segment older than id remains. Segment ids
+// follow append order, so only these can hold records a tombstone in id
+// shadows.
+func (d *diskTier) hasOlder(id int) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for sid := range d.segs {
+		if sid < id {
+			return true
+		}
+	}
+	return false
 }
 
 // dropSegment closes and deletes a fully-compacted segment file.

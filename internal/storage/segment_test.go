@@ -289,6 +289,81 @@ func TestCompactionReclaimsDeadBytes(t *testing.T) {
 	}
 }
 
+// TestCompactionCarriesTombstones compacts a segment of tombstones while
+// the older segment holding the deleted keys' data stays: a restart must
+// not bring the deleted keys back, and a key re-put after its delete must
+// come back with its new bytes, whether its new record sits in the
+// compacted segment or in a newer one. Compaction is driven by hand, so
+// the order is fixed.
+func TestCompactionCarriesTombstones(t *testing.T) {
+	dir := t.TempDir()
+	// A 437-byte data record (31 header + 6 key + 400 payload) rolls a
+	// 2048-byte segment after the fifth; automatic compaction is off.
+	e, err := Open(Config{Dir: dir, MemBytes: 1, SegmentBytes: 2048, CompactFrac: 2}, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Close() }()
+	key := func(i int) string { return fmt.Sprintf("obj-%02d", i) }
+	for i := 0; i < 5; i++ {
+		e.Put(key(i), payload(i, 400))
+		e.WaitIdle()
+	}
+	// Segment 1: tombstones for obj-01..03, obj-01 re-put, then obj-05..08
+	// until the segment rolls. Segment 2: obj-02 re-put.
+	for i := 1; i <= 3; i++ {
+		e.Delete(key(i))
+	}
+	e.Put(key(1), payload(50, 400))
+	e.WaitIdle()
+	for i := 5; i < 9; i++ {
+		e.Put(key(i), payload(i, 400))
+		e.WaitIdle()
+	}
+	e.Put(key(2), payload(60, 400))
+	e.WaitIdle()
+	e.disk.mu.Lock()
+	_, has0 := e.disk.segs[0]
+	_, has1 := e.disk.segs[1]
+	retired := e.disk.active != nil && e.disk.active.id == 2
+	e.disk.mu.Unlock()
+	if !has0 || !has1 || !retired {
+		t.Fatalf("segment layout: seg0 %v, seg1 %v, seg1 retired %v", has0, has1, retired)
+	}
+	tombs, err := e.disk.tombstones(1)
+	if err != nil || len(tombs) != 3 {
+		t.Fatalf("segment 1 tombstones = %v, %v; want obj-01..03", tombs, err)
+	}
+
+	e.compactOne(1)
+	if e.Stats().Compactions != 1 {
+		t.Fatal("segment 1 was not compacted")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Config{Dir: dir}, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = re.Close() }()
+	want := map[string][]byte{key(1): payload(50, 400), key(2): payload(60, 400)}
+	for _, i := range []int{0, 4, 5, 6, 7, 8} {
+		want[key(i)] = payload(i, 400)
+	}
+	for k, w := range want {
+		if got, ok := re.Get(k); !ok || !bytes.Equal(got, w) {
+			t.Fatalf("%s wrong after compaction restart (present %v)", k, ok)
+		}
+	}
+	if re.Has(key(3)) {
+		t.Fatal("deleted obj-03 came back after compaction restart")
+	}
+	if re.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", re.Len(), len(want))
+	}
+}
+
 func TestRemoteManifestSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	remote := NewRemoteStore(RemoteConfig{Seed: 5})

@@ -215,7 +215,7 @@ func (t *Tiered) maybeUpload() {
 	}
 	cands := make([]cand, 0, 32)
 	for k, e := range t.entries {
-		if e.tier != TierDisk || e.busy || e.deleted || e.queued {
+		if e.tier != TierDisk || e.busy || e.deleted || e.queued || t.remoteDeletes[k] > 0 {
 			continue
 		}
 		cands = append(cands, cand{k, e, e.lastT})
@@ -344,11 +344,15 @@ func (t *Tiered) maintenance() {
 	}
 }
 
-// compactOne rewrites a retired segment's live records into the active
-// segment and drops the file. Entries are re-pointed only if nothing moved
-// them meanwhile (gen + loc equality); concurrent readers of the old
-// segment see errSegGone after the drop and re-resolve.
+// compactOne rewrites a retired segment's live records and the tombstones
+// that still shadow something into the active segment, and drops the file.
+// Entries are re-pointed only if nothing moved them meanwhile (gen + loc
+// equality); concurrent readers of the old segment see errSegGone after
+// the drop and re-resolve.
 func (t *Tiered) compactOne(segID int) {
+	if !t.carryTombstones(segID) {
+		return // keep the segment; a later pass retries
+	}
 	type item struct {
 		key   string
 		gen   uint64
@@ -400,4 +404,48 @@ func (t *Tiered) compactOne(segID int) {
 	}
 	t.disk.dropSegment(segID)
 	t.ctCompactions.Add(1)
+}
+
+// carryTombstones re-appends the tombstones of segment segID that the
+// restart scan still needs, reporting false when the segment must stay for
+// now. A tombstone shadows only records in older segments, so none is
+// carried once no older segment remains. Nor is one carried for a key
+// whose entry has its own on-disk record: that record was written after
+// the tombstone and supersedes the older ones by itself, while a tombstone
+// appended behind it would kill it. A key owned by a background job may be
+// about to get such a record, so compaction waits for the job to settle.
+//
+// The appends are the one disk write made under t.mu: holding it keeps a
+// spill from claiming a carried key and appending its record ahead of the
+// tombstone. Tombstones are header-sized and compaction is rare.
+func (t *Tiered) carryTombstones(segID int) bool {
+	keys, err := t.disk.tombstones(segID)
+	if err != nil {
+		t.ctDiskErrors.Add(1)
+		return false
+	}
+	if len(keys) == 0 || !t.disk.hasOlder(segID) {
+		return true
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	carry := keys[:0]
+	for _, k := range keys {
+		e := t.entries[k]
+		switch {
+		case e == nil:
+			carry = append(carry, k)
+		case e.busy:
+			return false
+		case e.tier == TierMem && e.clean == tierNone:
+			carry = append(carry, k)
+		}
+	}
+	for _, k := range carry {
+		if _, err := t.disk.append(recDead, k, -1, nil); err != nil {
+			t.ctDiskErrors.Add(1)
+			return false
+		}
+	}
+	return true
 }

@@ -1,9 +1,9 @@
 // Package storage implements the staging fabric's tiered storage engine:
 // L1 is process memory (the fast path every staged object starts in), L2 is
 // a per-server set of append-only disk segments holding write-cold
-// erasure-coded payloads behind CRC64 record headers, and L3 is a modeled
-// remote object store (open latency + shared bandwidth + injectable faults,
-// in the style of internal/simnet) shared by the whole cluster.
+// erasure-coded payloads behind checksummed record headers, and L3 is a
+// modeled remote object store (open latency + shared bandwidth + injectable
+// faults, in the style of internal/simnet) shared by the whole cluster.
 //
 // The engine is deliberately self-contained: it never calls back into the
 // server, so the server's state mutex may be ordered before every engine

@@ -136,7 +136,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			if err := pace(ctx, bytesBucket, opsBucket, m.Size); err != nil {
 				return rep, err
 			}
-			data, ferr := cl.fetchObject(ctx, m.Clone())
+			data, _, ferr := cl.fetchObject(ctx, m.Clone())
 			if ferr != nil {
 				rep.Errors++
 				continue
@@ -161,6 +161,16 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 				if herr == nil && resp.Kind == transport.MsgOK && resp.Flag {
 					rep.Handoffs++
 					e.handoffs.Add(1)
+					// The old primary may have committed a background
+					// encode after the owner installed the object: its
+					// record then supersedes the owner's and names the
+					// stripe the handoff just dropped. The handoff held the
+					// old primary's write lock, so no such flip can follow
+					// it; if the record still names another primary for
+					// this version, the owner publishes its record again.
+					if cur, ok := cl.lookupMeta(ctx, key); ok && cur.Primary != owner && cur.Version == m.Version {
+						_ = c.installAt(ctx, cl, owner, m, data)
+					}
 				}
 			}
 
@@ -187,7 +197,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			if err := pace(ctx, bytesBucket, opsBucket, m.Size); err != nil {
 				return rep, err
 			}
-			data, ferr := cl.fetchObject(ctx, m.Clone())
+			data, _, ferr := cl.fetchObject(ctx, m.Clone())
 			if ferr != nil {
 				rep.Errors++
 				continue
@@ -381,7 +391,7 @@ func (c *Cluster) stripeDegraded(si *types.StripeInfo) bool {
 // directory record's replica list.
 func (c *Cluster) repairReplicas(ctx context.Context, cl *Client, m *types.ObjectMeta, mirrors int) bool {
 	ring := c.elastic.ring
-	data, err := cl.fetchObject(ctx, m.Clone())
+	data, _, err := cl.fetchObject(ctx, m.Clone())
 	if err != nil {
 		return false
 	}
